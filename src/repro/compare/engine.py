@@ -16,9 +16,9 @@ bootstrap, and renders a per-record verdict:
     the CI straddles 1 (or the effect is smaller than the threshold);
 ``incomparable``
     not enough independent replication for a defensible interval
-    (e.g. a migrated single-sample legacy record) — reported with the
-    point ratio, but never allowed to fail a gate: the paper's Rule 7
-    forbids claiming a change without sound statistics.
+    (e.g. a single-run record) — reported with the point ratio, but
+    never allowed to fail a gate: the paper's Rule 7 forbids claiming a
+    change without sound statistics.
 
 :class:`SequentialGate` adds the operational trick of the continuous-
 benchmarking model: runs are fed in one pair at a time, and sampling

@@ -26,7 +26,6 @@ layer, not here.
 
 from __future__ import annotations
 
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
@@ -121,16 +120,6 @@ def set_hop_matrix_budget(max_bytes: int) -> int:
     return old
 
 
-def _hop_matrix_deprecated(name: str) -> None:
-    warnings.warn(
-        f"Topology.hop_matrix() on {name!r} is deprecated: the dense (N, N) "
-        "matrix is quadratic in nodes. Use pairwise_hops(src, dst) (level-"
-        "wise, O(pairs)) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
 @dataclass(frozen=True)
 class Topology:
     """A network graph whose nodes carry attached compute-node ids.
@@ -171,20 +160,11 @@ class Topology:
         the lazily built, budget-capped dense matrix; hierarchical
         topologies override this with closed-form coordinate arithmetic.
         """
-        matrix = self._dense_hop_matrix()
+        matrix = self._dense_hops()
         return matrix[np.asarray(src_nodes), np.asarray(dst_nodes)]
 
-    def hop_matrix(self) -> np.ndarray:
-        """Deprecated: all-pairs hop counts as an ``(N, N)`` read-only array.
-
-        Migrate to :meth:`pairwise_hops` — the dense matrix is quadratic in
-        node count and only exists for small graph-backed topologies.
-        """
-        _hop_matrix_deprecated(self.name)
-        return self._dense_hop_matrix()
-
-    def _dense_hop_matrix(self) -> np.ndarray:
-        """The cached dense matrix (internal; no deprecation warning)."""
+    def _dense_hops(self) -> np.ndarray:
+        """The lazily built, budget-capped dense ``(N, N)`` hop matrix."""
         items = tuple(sorted(self.attachment.items()))
         if any(node != i for i, (node, _) in enumerate(items)):
             raise SimulationError(
@@ -194,7 +174,7 @@ class Topology:
         n = len(items)
         return _HOP_CACHE.get(
             self.graph,
-            lambda: _build_hop_matrix(self.graph, items),
+            lambda: _build_dense_hops(self.graph, items),
             self.name,
             n * n * 8,
         )
@@ -214,7 +194,7 @@ class Topology:
         consume.
         """
         nodes = np.asarray(node_of_rank, dtype=np.int64)
-        matrix = self._dense_hop_matrix()
+        matrix = self._dense_hops()
         node_counts = np.bincount(nodes, minlength=self.n_compute_nodes)
         same_node = node_counts[nodes] - 1
         hops_all = matrix[nodes][:, nodes]  # small-N only, by construction
@@ -236,7 +216,7 @@ def _shortest_path_len(topo_id: int, graph: nx.Graph, a, b) -> int:
     return int(nx.shortest_path_length(graph, a, b))
 
 
-def _build_hop_matrix(graph: nx.Graph, attachment_items: tuple) -> np.ndarray:
+def _build_dense_hops(graph: nx.Graph, attachment_items: tuple) -> np.ndarray:
     """Expand router-level BFS distances to the compute-node pair matrix."""
     routers: list = []
     seen: dict = {}
@@ -296,21 +276,6 @@ class HierarchicalTopology:
                 np.asarray([src], dtype=np.int64), np.asarray([dst], dtype=np.int64)
             )[0]
         )
-
-    def hop_matrix(self) -> np.ndarray:
-        """Deprecated compatibility shim; use :meth:`pairwise_hops`."""
-        _hop_matrix_deprecated(self.name)
-        n = self.n_compute_nodes
-        if n * n * 8 > _HOP_CACHE.max_bytes:
-            raise SimulationError(
-                f"dense hop matrix for {self.name!r} needs {n * n * 8} bytes, "
-                f"over the {_HOP_CACHE.max_bytes}-byte budget; use "
-                "pairwise_hops instead"
-            )
-        idx = np.arange(n, dtype=np.int64)
-        matrix = self.pairwise_hops(idx[:, None], idx[None, :])
-        matrix.setflags(write=False)
-        return matrix
 
 
 @dataclass(frozen=True)

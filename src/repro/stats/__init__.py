@@ -84,8 +84,6 @@ from .compare import (
     one_way_anova,
     kruskal_wallis,
     effect_size,
-    cohens_d,
-    significant_by_ci,
     compare_groups,
     GroupComparison,
 )
@@ -158,8 +156,6 @@ __all__ = [
     "one_way_anova",
     "kruskal_wallis",
     "effect_size",
-    "cohens_d",
-    "significant_by_ci",
     "compare_groups",
     "GroupComparison",
     # quantreg

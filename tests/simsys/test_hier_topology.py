@@ -28,6 +28,12 @@ _DF_SHAPES = [(2, 2, 1), (3, 4, 2), (4, 4, 1), (5, 7, 3), (6, 16, 4)]
 _FT_SHAPES = [(2, 3, 1), (4, 12, 2), (6, 6, 3)]
 
 
+def _all_pairs(n):
+    """Every (src, dst) node pair of an n-node topology, as flat arrays."""
+    src, dst = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    return src.ravel(), dst.ravel()
+
+
 class TestHierMatchesGraph:
     """Closed-form hops must equal BFS on the explicit router graph."""
 
@@ -37,25 +43,20 @@ class TestHierMatchesGraph:
         graph_topo = dragonfly(g, r, npr)
         hier = hier_dragonfly(g, r, npr)
         assert hier.n_compute_nodes == graph_topo.n_compute_nodes
-        with pytest.deprecated_call():
-            dense = graph_topo.hop_matrix()
-        N = hier.n_compute_nodes
-        src, dst = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
-        assert np.array_equal(
-            hier.pairwise_hops(src.ravel(), dst.ravel()).reshape(N, N), dense
-        )
+        self._check_all_pairs(graph_topo, hier)
 
     @pytest.mark.parametrize("shape", _FT_SHAPES)
     def test_fat_tree_all_pairs(self, shape):
         l, npl, s = shape
         graph_topo = fat_tree(l, npl, s)
         hier = hier_fat_tree(l, npl, s)
-        with pytest.deprecated_call():
-            dense = graph_topo.hop_matrix()
-        N = hier.n_compute_nodes
-        src, dst = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
+        self._check_all_pairs(graph_topo, hier)
+
+    @staticmethod
+    def _check_all_pairs(graph_topo, hier):
+        src, dst = _all_pairs(hier.n_compute_nodes)
         assert np.array_equal(
-            hier.pairwise_hops(src.ravel(), dst.ravel()).reshape(N, N), dense
+            hier.pairwise_hops(src, dst), graph_topo.pairwise_hops(src, dst)
         )
 
     def test_scalar_hops_agree_with_array_path(self):
@@ -116,22 +117,19 @@ class TestHopMatrixCacheBudget:
         old = set_hop_matrix_budget(1 << 20)  # 1 MiB
         try:
             with pytest.raises(SimulationError, match="hierarchical"):
-                with pytest.deprecated_call():
-                    big.hop_matrix()
+                big.pairwise_hops(np.array([0]), np.array([1]))
         finally:
             set_hop_matrix_budget(old)
 
     def test_budget_raise_allows_build(self):
         big = dragonfly(4, 8, 4)  # 128 nodes, 128 KiB matrix
+        src, dst = _all_pairs(big.n_compute_nodes)
         old = set_hop_matrix_budget(1 << 14)
         try:
-            with pytest.raises(SimulationError):
-                with pytest.deprecated_call():
-                    big.hop_matrix()
+            with pytest.raises(SimulationError, match="cache budget"):
+                big.pairwise_hops(src, dst)
             set_hop_matrix_budget(1 << 30)
-            with pytest.deprecated_call():
-                m = big.hop_matrix()
-            assert m.shape == (128, 128)
+            assert big.pairwise_hops(src, dst).shape == (128 * 128,)
         finally:
             set_hop_matrix_budget(old)
 
@@ -143,28 +141,8 @@ class TestHopMatrixCacheBudget:
         hops = hier.pairwise_hops(src, dst)
         assert hops.shape == (3,) and hops.max() <= 3
 
-    def test_hier_dense_matrix_respects_budget_too(self):
-        hier = hier_dragonfly(6, 16, 4)
-        old = set_hop_matrix_budget(1 << 10)
-        try:
-            with pytest.raises(SimulationError):
-                with pytest.deprecated_call():
-                    hier.hop_matrix()
-        finally:
-            set_hop_matrix_budget(old)
-
 
 class TestDeprecation:
-    def test_hop_matrix_warns_and_matches_pairwise(self):
-        topo = dragonfly(3, 4, 2)
-        with pytest.deprecated_call():
-            dense = topo.hop_matrix()
-        N = topo.n_compute_nodes
-        src, dst = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
-        assert np.array_equal(
-            topo.pairwise_hops(src.ravel(), dst.ravel()).reshape(N, N), dense
-        )
-
     def test_pairwise_hops_does_not_warn(self):
         import warnings
 

@@ -9,13 +9,12 @@ from scipy import stats as sps
 from repro.errors import InsufficientDataError, ValidationError
 from repro.stats import (
     GroupComparison,
-    cohens_d,
     compare_groups,
     effect_size,
+    intervals_overlap,
     kruskal_wallis,
     mean_ci,
     one_way_anova,
-    significant_by_ci,
     t_test,
 )
 
@@ -145,11 +144,6 @@ class TestEffectSize:
     def test_infinite_for_degenerate_difference(self):
         assert effect_size([1.0, 1.0], [2.0, 2.0]) == -np.inf
 
-    def test_cohens_d_alias_deprecated(self, two_shifted):
-        with pytest.warns(DeprecationWarning, match="cohens_d"):
-            d = cohens_d(*two_shifted)
-        assert d == effect_size(*two_shifted)
-
     def test_scale_invariant(self, two_shifted):
         a, b = two_shifted
         assert effect_size(a * 3, b * 3) == pytest.approx(effect_size(a, b))
@@ -159,20 +153,12 @@ class TestCIComparison:
     def test_nonoverlap_is_significant(self, rng):
         a = mean_ci(rng.normal(0, 1, 200), 0.95)
         b = mean_ci(rng.normal(3, 1, 200), 0.95)
-        with pytest.warns(DeprecationWarning, match="significant_by_ci"):
-            assert significant_by_ci(a, b)
+        assert not intervals_overlap(a, b)
 
     def test_overlap_inconclusive(self, rng):
         a = mean_ci(rng.normal(0, 1, 30), 0.95)
         b = mean_ci(rng.normal(0.05, 1, 30), 0.95)
-        with pytest.warns(DeprecationWarning):
-            assert not significant_by_ci(a, b)
-
-    def test_mismatched_confidence_rejected(self, rng):
-        a = mean_ci(rng.normal(0, 1, 30), 0.95)
-        b = mean_ci(rng.normal(0, 1, 30), 0.99)
-        with pytest.warns(DeprecationWarning), pytest.raises(ValidationError):
-            significant_by_ci(a, b)
+        assert intervals_overlap(a, b)
 
 
 class TestCompareGroups:
