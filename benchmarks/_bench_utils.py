@@ -30,6 +30,19 @@ def fidelity(full_n: int, quick_n: int) -> int:
     return full_n if FULL else quick_n
 
 
+def build_figure(name: str, **quick_overrides):
+    """Build registry figure *name* at seed 0: from the entry's own
+    ``params`` at full fidelity, with *quick_overrides* applied otherwise.
+    """
+    from repro.report.registry import FIGURES
+
+    entry = FIGURES[name]
+    params = entry.resolve_params()
+    if not FULL:
+        params.update(quick_overrides)
+    return entry.make(params)
+
+
 def record_bench(
     name: str,
     params: Mapping[str, object],

@@ -8,40 +8,14 @@ Mean 65.23, Min 61.23 Tflop/s against a 94.5 Tflop/s peak.
 
 from __future__ import annotations
 
-from repro.report import fig1_hpl, histogram_plot, render_table
-from repro.stats import median_ci
+from _bench_utils import build_figure
 
-
-def build_fig1():
-    return fig1_hpl(n_runs=50, seed=0)
-
-
-def render(fig) -> str:
-    parts = []
-    rows = [[label, f"{value:.2f}"] for label, value in fig.annotation_rows()]
-    rows.append(["Theoretical peak", f"{fig.peak_tflops:.2f}"])
-    parts.append(
-        render_table(
-            ["annotation", "Tflop/s"],
-            rows,
-            title="Figure 1 annotations (paper: 77.38 / 72.79 / 69.92 / 65.23 / 61.23, peak 94.5)",
-        )
-    )
-    parts.append("")
-    ci = fig.median_ci99
-    parts.append(
-        f"completion times: n={fig.summary.n}, median {fig.summary.median:.1f} s "
-        f"(99% CI [{ci.low:.1f}, {ci.high:.1f}]), "
-        f"range [{fig.summary.minimum:.1f}, {fig.summary.maximum:.1f}] s"
-    )
-    parts.append("")
-    parts.append(histogram_plot(fig.times, bins=20, width=50, label="HPL completion time", unit="s"))
-    return "\n".join(parts)
+from repro.report.registry import FIGURES
 
 
 def test_fig1_hpl(benchmark, record_result):
-    fig = benchmark(build_fig1)
-    record_result("fig1_hpl", render(fig))
+    fig = benchmark(build_figure, "fig1_hpl")
+    record_result("fig1_hpl", FIGURES["fig1_hpl"].to_text(fig))
     rows = dict(fig.annotation_rows())
     # Shape assertions: ordering and rough magnitudes of the paper's labels.
     assert rows["Max"] > rows["95% Quantile"] > rows["Median"] > rows["Min"]

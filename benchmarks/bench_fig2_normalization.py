@@ -9,51 +9,14 @@ normalization ladder.
 
 from __future__ import annotations
 
-from _bench_utils import fidelity
+from _bench_utils import build_figure
 
-from repro.report import fig2_normalization, qq_plot, render_table
-
-
-def build_fig2():
-    return fig2_normalization(samples=fidelity(1_000_000, 120_000), seed=0)
-
-
-def render(fig) -> str:
-    rows = []
-    for v in fig.variants:
-        rows.append(
-            [
-                v.name,
-                v.k,
-                v.data.size,
-                f"{v.report.qq_corr:.4f}",
-                f"{v.report.skew:.3f}",
-                f"{v.report.shapiro.p_value:.2e}",
-                "yes" if v.report.plausibly_normal else "no",
-            ]
-        )
-    parts = [
-        render_table(
-            ["variant", "k", "n", "QQ corr", "skew", "Shapiro p", "normal?"],
-            rows,
-            title="Figure 2: normalization ladder (1M 64B ping-pong samples on Piz Dora)",
-        ),
-        "",
-        "Q-Q plot, original data:",
-        qq_plot(fig.variant("original").qq_theoretical, fig.variant("original").qq_sample),
-        "",
-        "Q-Q plot, block means k=1000:",
-        qq_plot(
-            fig.variant("block_k1000").qq_theoretical,
-            fig.variant("block_k1000").qq_sample,
-        ),
-    ]
-    return "\n".join(parts)
+from repro.report.registry import FIGURES
 
 
 def test_fig2_normalization(benchmark, record_result):
-    fig = benchmark(build_fig2)
-    record_result("fig2_normalization", render(fig))
+    fig = benchmark(build_figure, "fig2_normalization", samples=120_000)
+    record_result("fig2_normalization", FIGURES["fig2_normalization"].to_text(fig))
     qq = {v.name: v.report.qq_corr for v in fig.variants}
     assert not fig.variant("original").report.plausibly_normal
     assert qq["block_k100"] > qq["log"] > qq["original"]

@@ -9,56 +9,14 @@ CIs and Kruskal–Wallis) despite heavily overlapping distributions.
 
 from __future__ import annotations
 
-from _bench_utils import fidelity
+from _bench_utils import build_figure
 
-from repro.report import box_plot, fig3_significance, render_table
-
-
-def build_fig3():
-    return fig3_significance(samples=fidelity(1_000_000, 120_000), seed=0)
-
-
-def render(fig) -> str:
-    rows = []
-    for sys in (fig.dora, fig.pilatus):
-        s = sys.summary
-        rows.append(
-            [
-                sys.name,
-                f"{s.minimum:.2f}",
-                f"{s.median:.3f}",
-                f"[{sys.median_ci99.low:.3f}, {sys.median_ci99.high:.3f}]",
-                f"{s.mean:.3f}",
-                f"[{sys.mean_ci99.low:.3f}, {sys.mean_ci99.high:.3f}]",
-                f"{s.maximum:.2f}",
-            ]
-        )
-    parts = [
-        render_table(
-            ["system", "min", "median", "99% CI (median)", "mean", "99% CI (mean)", "max"],
-            rows,
-            title="Figure 3 (us; paper anchors: Dora 1.57..7.2, Pilatus 1.48..11.59)",
-        ),
-        "",
-        f"Kruskal-Wallis H = {fig.kruskal.statistic:.1f}, p = {fig.kruskal.p_value:.3g}"
-        f" -> medians differ: {fig.medians_differ_significantly}",
-        f"median 99% CIs overlap: {fig.median_cis_overlap}; "
-        f"mean 99% CIs overlap: {fig.mean_cis_overlap}",
-        "",
-        box_plot(
-            {
-                "Piz Dora": fig.dora.latencies[:20_000],
-                "Pilatus": fig.pilatus.latencies[:20_000],
-            },
-            width=64,
-        ),
-    ]
-    return "\n".join(parts)
+from repro.report.registry import FIGURES
 
 
 def test_fig3_significance(benchmark, record_result):
-    fig = benchmark(build_fig3)
-    record_result("fig3_significance", render(fig))
+    fig = benchmark(build_figure, "fig3_significance", samples=120_000)
+    record_result("fig3_significance", FIGURES["fig3_significance"].to_text(fig))
     assert fig.medians_differ_significantly
     assert not fig.median_cis_overlap
     assert fig.pilatus.summary.maximum > fig.dora.summary.maximum

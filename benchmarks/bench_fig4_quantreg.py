@@ -10,45 +10,14 @@ low percentiles, the other at high percentiles — which the mean hides
 
 from __future__ import annotations
 
-from _bench_utils import fidelity
+from _bench_utils import build_figure
 
-from repro.report import fig4_quantile_regression, render_table
-
-
-def build_fig4():
-    return fig4_quantile_regression(samples=fidelity(1_000_000, 120_000), seed=0)
-
-
-def render(cmp) -> str:
-    rows = []
-    for i, tau in enumerate(cmp.taus):
-        inter = cmp.intercept[i]
-        diff = cmp.difference[i]
-        rows.append(
-            [
-                f"{tau:.1f}",
-                f"{inter.coef[0]:.3f}",
-                f"[{inter.low[0]:.3f}, {inter.high[0]:.3f}]",
-                f"{diff.coef[0]:+.3f}",
-                f"[{diff.low[0]:+.3f}, {diff.high[0]:+.3f}]",
-            ]
-        )
-    parts = [
-        render_table(
-            ["quantile", "Dora (us)", "95% CI", "Pilatus - Dora", "95% CI"],
-            rows,
-            title="Figure 4: quantile regression (paper mean diff: +0.108 us)",
-        ),
-        "",
-        f"mean difference (Pilatus - Dora): {cmp.mean_difference:+.3f} us",
-        f"sign crossover at quantile(s): {cmp.crossover_taus()}",
-    ]
-    return "\n".join(parts)
+from repro.report.registry import FIGURES
 
 
 def test_fig4_quantile_regression(benchmark, record_result):
-    cmp = benchmark(build_fig4)
-    record_result("fig4_quantreg", render(cmp))
+    cmp = benchmark(build_figure, "fig4_quantreg", samples=120_000)
+    record_result("fig4_quantreg", FIGURES["fig4_quantreg"].to_text(cmp))
     diffs = [d.coef[0] for d in cmp.difference]
     assert diffs[0] < 0 < diffs[-1]          # the crossover
     assert 0.03 < cmp.mean_difference < 0.2  # ~paper's +0.108 us

@@ -9,56 +9,16 @@ neighbours.
 
 from __future__ import annotations
 
-import numpy as np
-from _bench_utils import fidelity
+from _bench_utils import build_figure
 
-from repro.report import fig5_reduce_scaling, line_chart, render_table
-
-
-def build_fig5():
-    return fig5_reduce_scaling(
-        process_counts=tuple(range(2, 65)),
-        n_runs=fidelity(1000, 150),
-        seed=0,
-    )
-
-
-def render(fig) -> str:
-    rows = [
-        [pt.p, "2^k" if pt.power_of_two else "", f"{pt.q25_us:.2f}",
-         f"{pt.median_us:.2f}", f"{pt.q75_us:.2f}"]
-        for pt in fig.points
-    ]
-    pof2 = {pt.p: pt.median_us for pt in fig.points if pt.power_of_two}
-    others = {pt.p: pt.median_us for pt in fig.points if not pt.power_of_two}
-    chart = line_chart(
-        [pt.p for pt in fig.points],
-        {"median completion": [pt.median_us for pt in fig.points]},
-        height=14,
-        width=62,
-        xlabel="processes",
-        ylabel="us",
-    )
-    parts = [
-        render_table(
-            ["P", "pow2", "q25 (us)", "median (us)", "q75 (us)"],
-            rows,
-            title=f"Figure 5: MPI_Reduce completion ({fig.n_runs} runs/point, max across ranks)",
-        ),
-        "",
-        chart,
-        "",
-        f"power-of-two advantage (median 2^k+1 / 2^k slowdown): "
-        f"{fig.pof2_advantage():.3f}x",
-        f"median over powers of two: {np.median(list(pof2.values())):.2f} us; "
-        f"over others: {np.median(list(others.values())):.2f} us",
-    ]
-    return "\n".join(parts)
+from repro.report.registry import FIGURES
 
 
 def test_fig5_reduce_scaling(benchmark, record_result):
-    fig = benchmark.pedantic(build_fig5, rounds=1, iterations=1)
-    record_result("fig5_reduce_scaling", render(fig))
+    fig = benchmark.pedantic(
+        build_figure, args=("fig5_reduce",), kwargs={"n_runs": 150}, rounds=1, iterations=1
+    )
+    record_result("fig5_reduce_scaling", FIGURES["fig5_reduce"].to_text(fig))
     assert fig.pof2_advantage() > 1.1
     by_p = {pt.p: pt.median_us for pt in fig.points}
     assert by_p[64] > by_p[8]          # grows with P

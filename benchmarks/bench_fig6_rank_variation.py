@@ -10,51 +10,16 @@ systematically).
 from __future__ import annotations
 
 import numpy as np
-from _bench_utils import fidelity
+from _bench_utils import build_figure
 
-from repro.report import fig6_rank_variation, render_table
-
-
-def build_fig6():
-    return fig6_rank_variation(nprocs=64, n_runs=fidelity(1000, 200), seed=0)
-
-
-def render(fig) -> str:
-    rows = [
-        [
-            int(b["rank"]),
-            f"{b['whisker_low']:.2f}",
-            f"{b['q1']:.2f}",
-            f"{b['median']:.2f}",
-            f"{b['q3']:.2f}",
-            f"{b['whisker_high']:.2f}",
-            int(b["n_outliers"]),
-        ]
-        for b in fig.boxstats[:16]
-    ]
-    rs = fig.rank_summary
-    parts = [
-        render_table(
-            ["rank", "lo whisker", "q1", "median", "q3", "hi whisker", "outliers"],
-            rows,
-            title=f"Figure 6: per-rank completion (us), first 16 of {fig.nprocs} ranks",
-        ),
-        "",
-        f"ANOVA F = {rs.anova.statistic:.1f} (p = {rs.anova.p_value:.2e}); "
-        f"Kruskal-Wallis H = {rs.kruskal.statistic:.1f} (p = {rs.kruskal.p_value:.2e})",
-        f"homogeneous: {rs.homogeneous} -> {rs.recommendation()}",
-        "",
-        f"slow ranks (median > 1.5x cross-rank median): {fig.slow_ranks()}",
-        f"cross-rank median of medians: "
-        f"{np.median([b['median'] for b in fig.boxstats]):.2f} us; "
-        f"slowest rank median: {max(b['median'] for b in fig.boxstats):.2f} us",
-    ]
-    return "\n".join(parts)
+from repro.report.registry import FIGURES
 
 
 def test_fig6_rank_variation(benchmark, record_result):
-    fig = benchmark.pedantic(build_fig6, rounds=1, iterations=1)
-    record_result("fig6_rank_variation", render(fig))
+    fig = benchmark.pedantic(
+        build_figure, args=("fig6_rank_variation",), kwargs={"n_runs": 200}, rounds=1, iterations=1
+    )
+    record_result("fig6_rank_variation", FIGURES["fig6_rank_variation"].to_text(fig))
     assert not fig.rank_summary.homogeneous
     meds = np.array([b["median"] for b in fig.boxstats])
     assert meds.max() > 2 * np.median(meds)  # clearly heterogeneous ranks

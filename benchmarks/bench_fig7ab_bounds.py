@@ -9,67 +9,14 @@ shape: the parallel-overheads bound explains nearly all observed scaling.
 
 from __future__ import annotations
 
-from repro.report import fig7ab_bounds, line_chart, render_table
+from _bench_utils import build_figure
 
-
-def build_fig7ab():
-    return fig7ab_bounds(
-        process_counts=(1, 2, 4, 8, 12, 16, 20, 24, 28, 32), n_runs=10, seed=0
-    )
-
-
-def render(fig) -> str:
-    rows = []
-    for i, p in enumerate(fig.ps):
-        rows.append(
-            [
-                p,
-                f"{fig.measured_times[i] * 1e3:.3f}",
-                f"{fig.overhead_times[i] * 1e3:.3f}",
-                f"{fig.amdahl_times[i] * 1e3:.3f}",
-                f"{fig.ideal_times[i] * 1e3:.3f}",
-                f"{fig.measured_speedups[i]:.2f}",
-                f"{fig.overhead_speedups[i]:.2f}",
-                f"{fig.amdahl_speedups[i]:.2f}",
-                f"{fig.ideal_speedups[i]:.2f}",
-            ]
-        )
-    err = fig.model_error()
-    chart = line_chart(
-        list(fig.ps),
-        {
-            "measured": list(fig.measured_speedups),
-            "ideal": list(fig.ideal_speedups),
-            "amdahl": list(fig.amdahl_speedups),
-            "overheads": list(fig.overhead_speedups),
-        },
-        height=14,
-        width=60,
-        xlabel="processes",
-        ylabel="speedup",
-    )
-    parts = [
-        render_table(
-            [
-                "P", "t meas (ms)", "t ovh", "t amdahl", "t ideal",
-                "S meas", "S ovh", "S amdahl", "S ideal",
-            ],
-            rows,
-            title="Figure 7(a)/(b): Pi scaling vs bounds models",
-        ),
-        "",
-        chart,
-        "",
-        f"95% CI within 5% of the mean at every point: {fig.ci_within_5pct}",
-        "median relative model error: "
-        + ", ".join(f"{k}={v:.3f}" for k, v in err.items()),
-    ]
-    return "\n".join(parts)
+from repro.report.registry import FIGURES
 
 
 def test_fig7ab_bounds(benchmark, record_result):
-    fig = benchmark(build_fig7ab)
-    record_result("fig7ab_bounds", render(fig))
+    fig = benchmark(build_figure, "fig7ab_bounds")
+    record_result("fig7ab_bounds", FIGURES["fig7ab_bounds"].to_text(fig))
     err = fig.model_error()
     assert err["parallel_overheads"] < err["amdahl"] < err["ideal"]
     assert err["parallel_overheads"] < 0.10

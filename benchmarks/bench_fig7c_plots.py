@@ -7,50 +7,14 @@ means, median with its 95% CI — for 64 B ping-pong on the Piz Dora model.
 
 from __future__ import annotations
 
-from _bench_utils import fidelity
+from _bench_utils import build_figure
 
-from repro.report import box_plot, fig7c_distribution, render_table, violin_plot
-
-
-def build_fig7c():
-    return fig7c_distribution(samples=fidelity(1_000_000, 120_000), seed=0)
-
-
-def render(fig) -> str:
-    s = fig.summary
-    ci = fig.median_ci95
-    rows = [
-        ["n", s.n],
-        ["lower 1.5 IQR whisker (us)", f"{fig.whisker_low:.3f}"],
-        ["1st quartile", f"{s.q25:.3f}"],
-        ["median", f"{s.median:.3f}"],
-        ["95% CI (median)", f"[{ci.low:.4f}, {ci.high:.4f}]"],
-        ["arithmetic mean", f"{s.mean:.3f}"],
-        ["geometric mean", f"{fig.geometric_mean:.3f}"],
-        ["4th quartile", f"{s.q75:.3f}"],
-        ["higher 1.5 IQR whisker", f"{fig.whisker_high:.3f}"],
-        ["max", f"{s.maximum:.3f}"],
-    ]
-    parts = [
-        render_table(
-            ["statistic", "value"],
-            rows,
-            title="Figure 7(c): 64B ping-pong latency on Piz Dora (us)",
-        ),
-        "",
-        box_plot({"latency": fig.latencies_us[:50_000]}, width=64),
-        "",
-        violin_plot(
-            {"latency": fig.latencies_us[fig.latencies_us <= fig.violin_x[-1]][:100_000]},
-            width=64,
-        ),
-    ]
-    return "\n".join(parts)
+from repro.report.registry import FIGURES
 
 
 def test_fig7c_distribution(benchmark, record_result):
-    fig = benchmark(build_fig7c)
-    record_result("fig7c_plots", render(fig))
+    fig = benchmark(build_figure, "fig7c_distribution", samples=120_000)
+    record_result("fig7c_plots", FIGURES["fig7c_distribution"].to_text(fig))
     s = fig.summary
     assert fig.whisker_low <= s.q25 <= s.median <= s.q75 <= fig.whisker_high
     assert s.median < fig.geometric_mean <= s.mean  # right-skewed ordering

@@ -3,8 +3,8 @@
 Commands
 --------
 ``figures``
-    Regenerate the data behind any of the paper's figures and print the
-    rows/series as text tables.
+    Print the registry's paper figures as text tables and terminal plots
+    (the text the ``benchmarks/bench_fig*.py`` scripts record).
 ``table1``
     Regenerate the literature-survey table.
 ``calibrate``
@@ -67,88 +67,6 @@ from typing import Sequence
 __all__ = ["main", "build_parser"]
 
 
-_FIGURE_IDS = ("1", "2", "3", "4", "5", "6", "7")
-
-
-def _figure_sections(spec: dict) -> list[tuple[str, str]]:
-    """Build the text sections for one figure id.
-
-    Module-level (and fed plain dicts) so it can cross the pickle boundary
-    into :class:`~repro.exec.ProcessExecutor` workers when the ``figures``
-    command runs with ``--workers > 1``.
-    """
-    from . import report as rpt
-
-    fig_id, n, seed = spec["fig"], spec["samples"], spec["seed"]
-    if fig_id == "1":
-        fig = rpt.fig1_hpl(50, seed=seed)
-        rows = "\n".join(f"{k:<16} {v:8.2f} Tflop/s" for k, v in fig.annotation_rows())
-        return [("Figure 1: HPL annotations", rows)]
-    if fig_id == "2":
-        fig = rpt.fig2_normalization(max(n, 10_000), seed=seed)
-        rows = "\n".join(
-            f"{v.name:<12} k={v.k:<5} QQ={v.report.qq_corr:.4f} "
-            f"normal={v.report.plausibly_normal}"
-            for v in fig.variants
-        )
-        return [("Figure 2: normalization ladder", rows)]
-    if fig_id == "3":
-        fig = rpt.fig3_significance(max(n, 1000), seed=seed)
-        rows = []
-        for s in (fig.dora, fig.pilatus):
-            rows.append(
-                f"{s.name:<10} median {s.summary.median:.3f} us "
-                f"(99% CI [{s.median_ci99.low:.3f}, {s.median_ci99.high:.3f}]), "
-                f"range [{s.summary.minimum:.2f}, {s.summary.maximum:.2f}]"
-            )
-        rows.append(f"medians differ: {fig.medians_differ_significantly}")
-        return [("Figure 3: two-system significance", "\n".join(rows))]
-    if fig_id == "4":
-        cmp = rpt.fig4_quantile_regression(max(n, 1000), seed=seed)
-        rows = [
-            f"tau={t:.1f}  Dora {i.coef[0]:.3f} us  diff {d.coef[0]:+.3f} us"
-            for t, i, d in zip(cmp.taus, cmp.intercept, cmp.difference)
-        ]
-        rows.append(f"mean difference {cmp.mean_difference:+.3f} us; "
-                    f"crossover at {cmp.crossover_taus()}")
-        return [("Figure 4: quantile regression", "\n".join(rows))]
-    if fig_id == "5":
-        fig = rpt.fig5_reduce_scaling(tuple(range(2, 33)), max(n // 1000, 100),
-                                      seed=seed)
-        rows = [
-            f"P={pt.p:<3} {'2^k' if pt.power_of_two else '   '} "
-            f"median {pt.median_us:6.2f} us"
-            for pt in fig.points
-        ]
-        rows.append(f"power-of-two advantage: {fig.pof2_advantage():.3f}x")
-        return [("Figure 5: reduce scaling", "\n".join(rows))]
-    if fig_id == "6":
-        fig = rpt.fig6_rank_variation(32, max(n // 1000, 100), seed=seed)
-        return [(
-            "Figure 6: rank variation",
-            f"heterogeneous ranks: {not fig.rank_summary.homogeneous}; "
-            f"slow ranks {fig.slow_ranks()}",
-        )]
-    if fig_id == "7":
-        fig = rpt.fig7ab_bounds(seed=seed)
-        err = fig.model_error()
-        c = rpt.fig7c_distribution(max(n, 1000), seed=seed)
-        return [
-            (
-                "Figure 7(a)/(b): bounds models",
-                "median relative error: "
-                + ", ".join(f"{k}={v:.3f}" for k, v in err.items()),
-            ),
-            (
-                "Figure 7(c): latency distribution",
-                f"median {c.summary.median:.3f} us, mean {c.summary.mean:.3f}, "
-                f"geometric {c.geometric_mean:.3f}, whiskers "
-                f"[{c.whisker_low:.3f}, {c.whisker_high:.3f}]",
-            ),
-        ]
-    raise ValueError(f"unknown figure id {fig_id!r}")
-
-
 def _chaos_profiles() -> dict:
     from .chaos import PROFILES
 
@@ -180,13 +98,13 @@ def _write_metrics(registry, path: str) -> None:
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
-    from .exec import ProcessExecutor, SerialExecutor
+    """``repro figures``: the text view of the paper figures in the registry."""
+    from functools import partial
 
-    wanted = _FIGURE_IDS if args.fig == "all" else (args.fig,)
-    specs = [
-        {"fig": fig_id, "samples": args.samples, "seed": args.seed}
-        for fig_id in wanted
-    ]
+    from .exec import ProcessExecutor, SerialExecutor
+    from .report.registry import figure_text, text_figures
+
+    names = _requested_figures(args.figures, text_figures())
     # One executor seam for serial and parallel regeneration: each figure
     # is an independent task, so --workers N overlaps their simulations.
     if args.workers > 1:
@@ -195,17 +113,16 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         executor = SerialExecutor(retries=0)
     hooks, registry = _make_metrics_hooks(args.emit_metrics)
     outcomes = executor.run(
-        _figure_sections, specs,
-        labels=[f"figure {s['fig']}" for s in specs], hooks=hooks,
+        partial(figure_text, quick=args.quick, seed=args.seed), names,
+        labels=[f"figure {name}" for name in names], hooks=hooks,
     )
     status = 0
-    for spec, outcome in zip(specs, outcomes):
+    for name, outcome in zip(names, outcomes):
         if outcome.ok:
-            for title, body in outcome.value:
-                sys.stdout.write(f"\n=== {title} ===\n{body}\n")
+            sys.stdout.write(f"\n=== {name} ===\n{outcome.value}\n")
         else:
             print(
-                f"error: figure {spec['fig']} failed after "
+                f"error: figure {name} failed after "
                 f"{outcome.attempts} attempt(s): {outcome.error}",
                 file=sys.stderr,
             )
@@ -479,6 +396,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return 2
     with open(args.declaration) as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        print(
+            f"error: a declaration is a JSON object of fields, got "
+            f"{type(payload).__name__} (see --template)",
+            file=sys.stderr,
+        )
+        return 2
     valid = set(ExperimentDeclaration.__dataclass_fields__)
     unknown = set(payload) - valid
     if unknown:
@@ -648,10 +572,21 @@ def _figure_service(args: argparse.Namespace, registry):
     )
 
 
-def _cmd_render(args: argparse.Namespace) -> int:
-    """``repro render``: materialize registry figures (see docs/REPORT.md)."""
+def _requested_figures(requested, available, hint: str = "") -> list[str]:
+    """*requested* (default: all *available*); ValidationError naming unknowns."""
     from .errors import ValidationError
 
+    unknown = [n for n in requested if n not in available]
+    if unknown:
+        raise ValidationError(
+            f"unknown or unavailable figure(s) {unknown}; available: "
+            f"{available}{hint}"
+        )
+    return list(requested or available)
+
+
+def _cmd_render(args: argparse.Namespace) -> int:
+    """``repro render``: materialize registry figures (see docs/REPORT.md)."""
     registry = None
     if args.emit_metrics:
         from .obs import MetricsRegistry
@@ -665,13 +600,9 @@ def _cmd_render(args: argparse.Namespace) -> int:
             entry = service.entry(name)
             print(f"{name:<22} {entry.title}")
         return 0
-    names = args.figures or available
-    unknown = [n for n in names if n not in available]
-    if unknown:
-        raise ValidationError(
-            f"unknown or unavailable figure(s) {unknown}; available: "
-            f"{available} (campaign figures need --campaign)"
-        )
+    names = _requested_figures(
+        args.figures, available, " (campaign figures need --campaign)"
+    )
     for name in names:
         rendered = service.render(name)
         origin = "cache" if rendered.cached else "built"
@@ -729,12 +660,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("figures", help="regenerate figure data")
-    p.add_argument("--fig", choices=["1", "2", "3", "4", "5", "6", "7", "all"],
-                   default="all")
-    p.add_argument("--samples", type=int, default=100_000,
-                   help="ping-pong sample count (paper: 1000000)")
-    p.add_argument("--seed", type=int, default=0)
+    p = sub.add_parser(
+        "figures", help="print the paper figures' data as text tables",
+    )
+    p.add_argument("figures", nargs="*", metavar="FIGURE",
+                   help="registry names of paper figures (default: all)")
+    p.add_argument("--quick", action="store_true",
+                   help="reduced-fidelity registry parameters (the ones "
+                        "`render --quick` uses)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="simulation seed")
     p.add_argument("--workers", type=int, default=1,
                    help="regenerate figures in parallel over N worker "
                         "processes (default: serial)")

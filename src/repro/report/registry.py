@@ -18,6 +18,10 @@ shard-store state.  Unchanged inputs ⇒ unchanged key ⇒ the service
 serves the cached bytes without rebuilding anything; new data changes
 the key, so stale artifacts can never be served as current (Rule 9's
 regeneration guarantee, mechanized).
+
+The paper figures also carry a text view, which ``repro figures`` prints
+and the ``benchmarks/bench_fig*.py`` scripts record: one generator and
+one parameter set per paper number.
 """
 
 from __future__ import annotations
@@ -33,8 +37,10 @@ from typing import Any, Callable, Mapping
 import numpy as np
 
 from ..errors import ValidationError
+from .ascii_plot import box_plot, histogram_plot, line_chart, qq_plot, violin_plot
 from .export import figure_to_json
 from . import figures as _figs
+from .table import render_table
 from .vega import (
     vl_band_line_chart,
     vl_box_chart,
@@ -52,6 +58,8 @@ __all__ = [
     "FIGURES",
     "campaign_digest",
     "content_key",
+    "figure_text",
+    "text_figures",
 ]
 
 _FORMATS = ("json", "vl.json", "html")
@@ -65,11 +73,12 @@ class FigureEntry:
     """One named figure: how to build it and how to draw it.
 
     ``build(params)`` returns the figure dataclass; ``to_vega(figure)``
-    converts it to a Vega-Lite spec dict.  ``params`` are the
-    full-fidelity defaults; ``quick_params`` overlay them for fast
-    CI/test renders.  ``needs_campaign`` entries build from recorded
-    campaign data instead of fresh simulation, and key on the campaign's
-    content (see :func:`campaign_digest`).  Bump ``version`` whenever
+    converts it to a Vega-Lite spec dict; ``to_text(figure)``, set on the
+    paper figures, renders it as text tables and terminal plots.
+    ``params`` are the full-fidelity defaults; ``quick_params`` overlay
+    them for fast CI/test renders.  ``needs_campaign`` entries build from
+    recorded campaign data instead of fresh simulation, and key on the
+    campaign's content (see :func:`campaign_digest`).  Bump ``version`` whenever
     the builder or spec layout changes meaning — it invalidates every
     cached render of this figure.
     """
@@ -83,6 +92,25 @@ class FigureEntry:
     quick_params: Mapping[str, Any] = field(default_factory=dict)
     needs_campaign: bool = False
     version: int = 1
+    to_text: Callable[[Any], str] | None = None
+
+    def resolve_params(self, *, quick: bool = False) -> dict[str, Any]:
+        """Effective build params (quick overrides applied when set)."""
+        params = dict(self.params)
+        if quick:
+            params.update(self.quick_params)
+        return params
+
+    def make(
+        self, params: Mapping[str, Any], *, seed: int = 0, campaign: Any = None,
+    ) -> Any:
+        """Build the figure from *params* plus the campaign or seed it needs."""
+        kwargs = dict(params)
+        if self.needs_campaign:
+            kwargs["campaign"] = campaign
+        else:
+            kwargs.setdefault("seed", seed)
+        return self.build(**kwargs)
 
 
 def _f(values: Any) -> list[float]:
@@ -237,6 +265,247 @@ def _vega_fig7c(fig: _figs.Fig7cPlots) -> dict[str, Any]:
         ],
     )
     return spec
+
+
+# -- paper figure text views --------------------------------------------
+
+
+def _text_fig1(fig: _figs.Fig1HPL) -> str:
+    rows = [[label, f"{value:.2f}"] for label, value in fig.annotation_rows()]
+    rows.append(["Theoretical peak", f"{fig.peak_tflops:.2f}"])
+    ci = fig.median_ci99
+    return "\n".join([
+        render_table(
+            ["annotation", "Tflop/s"],
+            rows,
+            title="Figure 1 annotations (paper: 77.38 / 72.79 / 69.92 / 65.23 / 61.23, peak 94.5)",
+        ),
+        "",
+        f"completion times: n={fig.summary.n}, median {fig.summary.median:.1f} s "
+        f"(99% CI [{ci.low:.1f}, {ci.high:.1f}]), "
+        f"range [{fig.summary.minimum:.1f}, {fig.summary.maximum:.1f}] s",
+        "",
+        histogram_plot(fig.times, bins=20, width=50, label="HPL completion time", unit="s"),
+    ])
+
+
+def _text_fig2(fig: _figs.Fig2Normalization) -> str:
+    rows = [
+        [
+            v.name,
+            v.k,
+            v.data.size,
+            f"{v.report.qq_corr:.4f}",
+            f"{v.report.skew:.3f}",
+            f"{v.report.shapiro.p_value:.2e}",
+            "yes" if v.report.plausibly_normal else "no",
+        ]
+        for v in fig.variants
+    ]
+    original = fig.variant("original")
+    block = fig.variant("block_k1000")
+    n = original.data.size
+    count = f"{n // 1_000_000}M" if n % 1_000_000 == 0 else f"{n:,}"
+    return "\n".join([
+        render_table(
+            ["variant", "k", "n", "QQ corr", "skew", "Shapiro p", "normal?"],
+            rows,
+            title=f"Figure 2: normalization ladder ({count} 64B ping-pong samples on Piz Dora)",
+        ),
+        "",
+        "Q-Q plot, original data:",
+        qq_plot(original.qq_theoretical, original.qq_sample),
+        "",
+        "Q-Q plot, block means k=1000:",
+        qq_plot(block.qq_theoretical, block.qq_sample),
+    ])
+
+
+def _text_fig3(fig: _figs.Fig3Significance) -> str:
+    rows = [
+        [
+            p.name,
+            f"{p.summary.minimum:.2f}",
+            f"{p.summary.median:.3f}",
+            f"[{p.median_ci99.low:.3f}, {p.median_ci99.high:.3f}]",
+            f"{p.summary.mean:.3f}",
+            f"[{p.mean_ci99.low:.3f}, {p.mean_ci99.high:.3f}]",
+            f"{p.summary.maximum:.2f}",
+        ]
+        for p in (fig.dora, fig.pilatus)
+    ]
+    return "\n".join([
+        render_table(
+            ["system", "min", "median", "99% CI (median)", "mean", "99% CI (mean)", "max"],
+            rows,
+            title="Figure 3 (us; paper anchors: Dora 1.57..7.2, Pilatus 1.48..11.59)",
+        ),
+        "",
+        f"Kruskal-Wallis H = {fig.kruskal.statistic:.1f}, p = {fig.kruskal.p_value:.3g}"
+        f" -> medians differ: {fig.medians_differ_significantly}",
+        f"median 99% CIs overlap: {fig.median_cis_overlap}; "
+        f"mean 99% CIs overlap: {fig.mean_cis_overlap}",
+        "",
+        box_plot(
+            {
+                "Piz Dora": fig.dora.latencies[:20_000],
+                "Pilatus": fig.pilatus.latencies[:20_000],
+            },
+            width=64,
+        ),
+    ])
+
+
+def _text_fig4(qc: Any) -> str:
+    rows = [
+        [
+            f"{tau:.1f}",
+            f"{inter.coef[0]:.3f}",
+            f"[{inter.low[0]:.3f}, {inter.high[0]:.3f}]",
+            f"{diff.coef[0]:+.3f}",
+            f"[{diff.low[0]:+.3f}, {diff.high[0]:+.3f}]",
+        ]
+        for tau, inter, diff in zip(qc.taus, qc.intercept, qc.difference)
+    ]
+    return "\n".join([
+        render_table(
+            ["quantile", "Dora (us)", "95% CI", "Pilatus - Dora", "95% CI"],
+            rows,
+            title="Figure 4: quantile regression (paper mean diff: +0.108 us)",
+        ),
+        "",
+        f"mean difference (Pilatus - Dora): {qc.mean_difference:+.3f} us",
+        f"sign crossover at quantile(s): {qc.crossover_taus()}",
+    ])
+
+
+def _text_fig5(fig: _figs.Fig5Reduce) -> str:
+    rows = [
+        [pt.p, "2^k" if pt.power_of_two else "", f"{pt.q25_us:.2f}",
+         f"{pt.median_us:.2f}", f"{pt.q75_us:.2f}"]
+        for pt in fig.points
+    ]
+    pof2 = [pt.median_us for pt in fig.points if pt.power_of_two]
+    others = [pt.median_us for pt in fig.points if not pt.power_of_two]
+    chart = line_chart(
+        [pt.p for pt in fig.points],
+        {"median completion": [pt.median_us for pt in fig.points]},
+        height=14,
+        width=62,
+        xlabel="processes",
+        ylabel="us",
+    )
+    return "\n".join([
+        render_table(
+            ["P", "pow2", "q25 (us)", "median (us)", "q75 (us)"],
+            rows,
+            title=f"Figure 5: MPI_Reduce completion ({fig.n_runs} runs/point, max across ranks)",
+        ),
+        "",
+        chart,
+        "",
+        f"power-of-two advantage (median 2^k+1 / 2^k slowdown): "
+        f"{fig.pof2_advantage():.3f}x",
+        f"median over powers of two: {np.median(pof2):.2f} us; "
+        f"over others: {np.median(others):.2f} us",
+    ])
+
+
+def _text_fig6(fig: _figs.Fig6RankVariation) -> str:
+    box = ("whisker_low", "q1", "median", "q3", "whisker_high")
+    rows = [
+        [int(b["rank"]), *(f"{b[k]:.2f}" for k in box), int(b["n_outliers"])]
+        for b in fig.boxstats[:16]
+    ]
+    rs = fig.rank_summary
+    return "\n".join([
+        render_table(
+            ["rank", "lo whisker", "q1", "median", "q3", "hi whisker", "outliers"],
+            rows,
+            title=f"Figure 6: per-rank completion (us), first 16 of {fig.nprocs} ranks",
+        ),
+        "",
+        f"ANOVA F = {rs.anova.statistic:.1f} (p = {rs.anova.p_value:.2e}); "
+        f"Kruskal-Wallis H = {rs.kruskal.statistic:.1f} (p = {rs.kruskal.p_value:.2e})",
+        f"homogeneous: {rs.homogeneous} -> {rs.recommendation()}",
+        "",
+        f"slow ranks (median > 1.5x cross-rank median): {fig.slow_ranks()}",
+        f"cross-rank median of medians: "
+        f"{np.median([b['median'] for b in fig.boxstats]):.2f} us; "
+        f"slowest rank median: {max(b['median'] for b in fig.boxstats):.2f} us",
+    ])
+
+
+def _text_fig7ab(fig: _figs.Fig7Bounds) -> str:
+    times = (fig.measured_times, fig.overhead_times, fig.amdahl_times, fig.ideal_times)
+    speedups = (
+        fig.measured_speedups, fig.overhead_speedups,
+        fig.amdahl_speedups, fig.ideal_speedups,
+    )
+    rows = [
+        [p, *(f"{t[i] * 1e3:.3f}" for t in times), *(f"{s[i]:.2f}" for s in speedups)]
+        for i, p in enumerate(fig.ps)
+    ]
+    chart = line_chart(
+        list(fig.ps),
+        {
+            "measured": list(fig.measured_speedups),
+            "ideal": list(fig.ideal_speedups),
+            "amdahl": list(fig.amdahl_speedups),
+            "overheads": list(fig.overhead_speedups),
+        },
+        height=14,
+        width=60,
+        xlabel="processes",
+        ylabel="speedup",
+    )
+    return "\n".join([
+        render_table(
+            [
+                "P", "t meas (ms)", "t ovh", "t amdahl", "t ideal",
+                "S meas", "S ovh", "S amdahl", "S ideal",
+            ],
+            rows,
+            title="Figure 7(a)/(b): Pi scaling vs bounds models",
+        ),
+        "",
+        chart,
+        "",
+        f"95% CI within 5% of the mean at every point: {fig.ci_within_5pct}",
+        "median relative model error: "
+        + ", ".join(f"{k}={v:.3f}" for k, v in fig.model_error().items()),
+    ])
+
+
+def _text_fig7c(fig: _figs.Fig7cPlots) -> str:
+    s = fig.summary
+    ci = fig.median_ci95
+    rows = [
+        ["n", s.n],
+        ["lower 1.5 IQR whisker (us)", f"{fig.whisker_low:.3f}"],
+        ["1st quartile", f"{s.q25:.3f}"],
+        ["median", f"{s.median:.3f}"],
+        ["95% CI (median)", f"[{ci.low:.4f}, {ci.high:.4f}]"],
+        ["arithmetic mean", f"{s.mean:.3f}"],
+        ["geometric mean", f"{fig.geometric_mean:.3f}"],
+        ["4th quartile", f"{s.q75:.3f}"],
+        ["higher 1.5 IQR whisker", f"{fig.whisker_high:.3f}"],
+        ["max", f"{s.maximum:.3f}"],
+    ]
+    return "\n".join([
+        render_table(
+            ["statistic", "value"],
+            rows,
+            title="Figure 7(c): 64B ping-pong latency on Piz Dora (us)",
+        ),
+        "",
+        box_plot({"latency": fig.latencies_us[:50_000]}, width=64),
+        "",
+        violin_plot(
+            {"latency": fig.latencies_us[fig.latencies_us <= fig.violin_x[-1]][:100_000]},
+            width=64,
+        ),
+    ])
 
 
 # -- scenario figures ---------------------------------------------------
@@ -447,6 +716,7 @@ FIGURES: dict[str, FigureEntry] = {
                         "from time quantiles.",
             build=_figs.fig1_hpl,
             to_vega=_vega_fig1,
+            to_text=_text_fig1,
             params={"n_runs": 50},
             quick_params={"n_runs": 12},
         ),
@@ -457,6 +727,7 @@ FIGURES: dict[str, FigureEntry] = {
                         "against normal quantiles.",
             build=_figs.fig2_normalization,
             to_vega=_vega_fig2,
+            to_text=_text_fig2,
             params={"samples": 1_000_000},
             quick_params={"samples": 20_000},
         ),
@@ -467,6 +738,7 @@ FIGURES: dict[str, FigureEntry] = {
                         "with median annotations.",
             build=_figs.fig3_significance,
             to_vega=_vega_fig3,
+            to_text=_text_fig3,
             params={"samples": 1_000_000},
             quick_params={"samples": 20_000},
         ),
@@ -477,6 +749,7 @@ FIGURES: dict[str, FigureEntry] = {
                         "with bootstrap CIs.",
             build=_figs.fig4_quantile_regression,
             to_vega=_vega_fig4,
+            to_text=_text_fig4,
             params={"samples": 1_000_000},
             quick_params={"samples": 5_000},
         ),
@@ -487,6 +760,7 @@ FIGURES: dict[str, FigureEntry] = {
                         "quartile band, powers of two marked.",
             build=_figs.fig5_reduce_scaling,
             to_vega=_vega_fig5,
+            to_text=_text_fig5,
             params={"n_runs": 1000},
             quick_params={"process_counts": tuple(range(2, 18)),
                           "n_runs": 60},
@@ -498,6 +772,7 @@ FIGURES: dict[str, FigureEntry] = {
                         "MPI_Reduce.",
             build=_figs.fig6_rank_variation,
             to_vega=_vega_fig6,
+            to_text=_text_fig6,
             params={"nprocs": 64, "n_runs": 1000},
             quick_params={"nprocs": 16, "n_runs": 60},
         ),
@@ -508,6 +783,7 @@ FIGURES: dict[str, FigureEntry] = {
                         "ideal/Amdahl bounds.",
             build=_figs.fig7ab_bounds,
             to_vega=_vega_fig7ab,
+            to_text=_text_fig7ab,
             params={"n_runs": 10},
             quick_params={"process_counts": (1, 2, 4, 8), "n_runs": 6},
         ),
@@ -518,6 +794,7 @@ FIGURES: dict[str, FigureEntry] = {
                         "of 10⁶ latencies.",
             build=_figs.fig7c_distribution,
             to_vega=_vega_fig7c,
+            to_text=_text_fig7c,
             params={"samples": 1_000_000},
             quick_params={"samples": 20_000},
         ),
@@ -553,6 +830,23 @@ FIGURES: dict[str, FigureEntry] = {
         ),
     )
 }
+
+
+def figure_text(name: str, *, quick: bool = False, seed: int = 0) -> str:
+    """Paper figure *name*, built as :meth:`FigureService.render` builds
+    it, as text (module-level, so ``ProcessExecutor`` workers can run it).
+    """
+    entry = FIGURES.get(name)
+    if entry is None or entry.to_text is None:
+        raise ValidationError(
+            f"unknown figure {name!r}; available: {text_figures()}"
+        )
+    return entry.to_text(entry.make(entry.resolve_params(quick=quick), seed=seed))
+
+
+def text_figures() -> list[str]:
+    """The figures with a text view (the paper's), in registry order."""
+    return [name for name, entry in FIGURES.items() if entry.to_text is not None]
 
 
 # ----------------------------------------------------------- content keys
@@ -705,19 +999,12 @@ class FigureService:
             )
         return entry
 
-    def params_for(self, entry: FigureEntry) -> dict[str, Any]:
-        """Effective build params (quick overrides applied when set)."""
-        params = dict(entry.params)
-        if self.quick:
-            params.update(entry.quick_params)
-        return params
-
     def content_key(self, name: str) -> str:
         """The current content key of *name* (see :func:`content_key`)."""
         entry = self.entry(name)
         return content_key(
             entry,
-            params=self.params_for(entry),
+            params=entry.resolve_params(quick=self.quick),
             seed=self.seed,
             campaign=self.campaign if entry.needs_campaign else None,
         )
@@ -753,16 +1040,12 @@ class FigureService:
                 json_path=json_path, vl_path=vl_path, html_path=html_path,
             )
 
-        params = self.params_for(entry)
-        if entry.needs_campaign:
-            params["campaign"] = self.campaign
-        elif "seed" not in params:
-            params["seed"] = self.seed
+        params = entry.resolve_params(quick=self.quick)
         if self.tracer is not None:
             with self.tracer.span("figure-render", figure=name, key=key):
-                figure = entry.build(**params)
+                figure = entry.make(params, seed=self.seed, campaign=self.campaign)
         else:
-            figure = entry.build(**params)
+            figure = entry.make(params, seed=self.seed, campaign=self.campaign)
         spec = entry.to_vega(figure)
 
         json_path.parent.mkdir(parents=True, exist_ok=True)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import signal
 import time
 from dataclasses import dataclass, field
 from typing import Any, Mapping
@@ -197,9 +198,10 @@ class FigureServer:
     """The asyncio socket layer around :func:`handle_request`.
 
     ``await start()`` binds the socket (resolving ``port=0`` to the
-    chosen ephemeral port); ``await serve_forever()`` blocks.  One
-    connection per request (``Connection: close``) keeps the protocol
-    trivially correct for a localhost artifact server.
+    chosen ephemeral port); ``await serve_forever()`` blocks until
+    :meth:`stop`, the one shutdown path.  One connection per request
+    (``Connection: close``) keeps the protocol trivially correct for a
+    localhost artifact server.
     """
 
     def __init__(
@@ -217,6 +219,8 @@ class FigureServer:
         self.metrics = metrics
         self.tracer = tracer
         self._server: asyncio.AbstractServer | None = None
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._stopping = asyncio.Event()
         if metrics is not None:
             metrics.bind_serve_metrics()
 
@@ -225,23 +229,24 @@ class FigureServer:
             self._handle_conn, self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
+        self._loop = asyncio.get_running_loop()
 
     @property
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
 
     async def serve_forever(self) -> None:
+        """Accept connections until :meth:`stop`, then close and return."""
         if self._server is None:
             await self.start()
         assert self._server is not None
         async with self._server:
-            await self._server.serve_forever()
+            await self._stopping.wait()
 
-    async def close(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+    def stop(self) -> None:
+        """Make :meth:`serve_forever` return; safe from any thread."""
+        if self._loop is not None:
+            self._loop.call_soon_threadsafe(self._stopping.set)
 
     async def _handle_conn(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -293,11 +298,12 @@ def run_server(
     tracer: Any = None,
     ready: Any = None,
 ) -> None:
-    """Blocking entry point: serve *service* until interrupted.
+    """Blocking entry point: serve *service* until SIGINT or SIGTERM.
 
+    Either signal calls :meth:`FigureServer.stop`: the server closes its
+    listening socket and this returns normally.
     *ready*, when given, is called with the bound :class:`FigureServer`
-    once the socket is listening (the CLI uses it to print the URL; tests
-    use it to learn an ephemeral port).
+    once the socket is listening (the CLI uses it to print the URL).
     """
 
     async def main() -> None:
@@ -305,14 +311,12 @@ def run_server(
             service, host=host, port=port, metrics=metrics, tracer=tracer
         )
         await server.start()
+        loop = asyncio.get_running_loop()
+        for sig in (signal.SIGINT, signal.SIGTERM):
+            loop.add_signal_handler(sig, server.stop)
         if ready is not None:
             ready(server)
-        try:
-            await server.serve_forever()
-        except asyncio.CancelledError:
-            pass
-        finally:
-            await server.close()
+        await server.serve_forever()
 
     try:
         asyncio.run(main())

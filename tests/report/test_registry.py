@@ -15,6 +15,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.core import Campaign
 from repro.core.measurement import MeasurementSet
 from repro.errors import ValidationError
@@ -24,6 +25,7 @@ from repro.report.registry import (
     FigureService,
     campaign_digest,
     content_key,
+    text_figures,
 )
 from repro.report.vega import VL_SCHEMA
 
@@ -89,6 +91,16 @@ class TestRegistryShape:
         with pytest.raises(ValidationError):
             service.render("nope")
 
+
+class TestTextView:
+    """``repro figures`` is the registry's text view, not a second builder."""
+
+    @pytest.mark.parametrize("name", text_figures())
+    def test_cli_section_is_the_entrys_to_text(self, name, capsys):
+        entry = FIGURES[name]
+        expected = entry.to_text(entry.make(entry.resolve_params(quick=True)))
+        assert main(["figures", name, "--quick"]) == 0
+        assert capsys.readouterr().out == f"\n=== {name} ===\n{expected}\n"
 
 class TestEveryFigureRenders:
     @pytest.mark.parametrize("name", SIMULATED)

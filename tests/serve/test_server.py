@@ -9,9 +9,14 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import signal
+import subprocess
+import sys
 import threading
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -183,10 +188,10 @@ class TestSocketIntegration:
         server = FigureServer(service, port=0, metrics=metrics)
         loop, thread = _serve_in_thread(server)
         yield server
-        loop.call_soon_threadsafe(
-            lambda: [t.cancel() for t in asyncio.all_tasks(loop)]
-        )
+        server.stop()
         thread.join(timeout=5)
+        assert not thread.is_alive()
+        loop.close()
 
     def test_health_over_a_real_socket(self, live):
         with urllib.request.urlopen(f"{live.url}/health", timeout=10) as resp:
@@ -207,3 +212,32 @@ class TestSocketIntegration:
         with pytest.raises(urllib.error.HTTPError) as exc:
             urllib.request.urlopen(f"{live.url}/figures/nope.json", timeout=10)
         assert exc.value.code == 404
+
+
+class TestSignalShutdown:
+    """``repro serve`` stops on SIGINT/SIGTERM through ``FigureServer.stop``."""
+
+    @pytest.mark.parametrize("sig", [signal.SIGINT, signal.SIGTERM])
+    def test_signal_stops_with_exit_0_and_metrics(self, sig, tmp_path):
+        metrics = tmp_path / "serve.prom"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0", "--quick",
+             "--cache-dir", str(tmp_path / "cache"),
+             "--emit-metrics", str(metrics)],
+            stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[2] / "src")},
+        )
+        try:
+            banner = proc.stderr.readline()
+            url = next(w for w in banner.split() if w.startswith("http://"))
+            with urllib.request.urlopen(f"{url}/health", timeout=30) as resp:
+                assert resp.status == 200
+            proc.send_signal(sig)
+            assert proc.wait(timeout=30) == 0
+            assert "Traceback" not in proc.stderr.read()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stderr.close()
+        assert "repro_serve_requests_total 1" in metrics.read_text()

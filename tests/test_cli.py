@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.report.registry import text_figures
 
 
 class TestParser:
@@ -26,40 +28,47 @@ class TestTable1:
         assert "79/95" in out and "25/120" in out
 
 
+def _sections(out: str) -> list[str]:
+    """The figure names of ``repro figures`` section headers, in order."""
+    return re.findall(r"^=== (\S+) ===$", out, re.M)
+
+
 class TestFigures:
     def test_single_figure(self, capsys):
-        assert main(["figures", "--fig", "1"]) == 0
+        assert main(["figures", "fig2_normalization", "--quick"]) == 0
         out = capsys.readouterr().out
-        assert "Figure 1" in out and "Tflop/s" in out
-        assert "Figure 3" not in out
+        assert _sections(out) == ["fig2_normalization"]
+        # The title counts the samples shown, not the full-fidelity 1M.
+        assert "(20,000 64B ping-pong samples" in out
 
     def test_figure4_crossover_reported(self, capsys):
-        assert main(["figures", "--fig", "4", "--samples", "20000"]) == 0
-        out = capsys.readouterr().out
-        assert "crossover" in out
+        assert main(["figures", "fig4_quantreg", "--quick"]) == 0
+        assert "sign crossover" in capsys.readouterr().out
 
     def test_figure5_pof2(self, capsys):
-        assert main(["figures", "--fig", "5", "--samples", "100000"]) == 0
-        out = capsys.readouterr().out
-        assert "power-of-two advantage" in out
+        assert main(["figures", "fig5_reduce", "--quick"]) == 0
+        assert "power-of-two advantage" in capsys.readouterr().out
+
+    # A scenario figure is in the registry but has no text view.
+    @pytest.mark.parametrize("name", ["nope", "scale_collectives"])
+    def test_unknown_figure_exits_2_listing_available(self, name, capsys):
+        assert main(["figures", name, "--quick"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err
+        for available in text_figures():
+            assert available in err
 
     def test_workers_output_matches_serial(self, capsys):
-        assert main(["figures", "--fig", "1", "--samples", "10000"]) == 0
+        assert main(["figures", "--quick"]) == 0
         serial = capsys.readouterr().out
-        assert main(
-            ["figures", "--fig", "1", "--samples", "10000", "--workers", "2"]
-        ) == 0
+        assert _sections(serial) == text_figures()
+        assert main(["figures", "--quick", "--workers", "2"]) == 0
         assert capsys.readouterr().out == serial
 
     def test_workers_preserve_figure_order(self, capsys):
-        code = main(
-            ["figures", "--fig", "all", "--samples", "10000", "--workers", "2"]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        positions = [out.index(f"Figure {i}") for i in ("1", "2", "3")]
-        assert positions == sorted(positions)
-        assert "Figure 7(c)" in out
+        order = ["fig7ab_bounds", "fig1_hpl"]
+        assert main(["figures", *order, "--quick", "--workers", "2"]) == 0
+        assert _sections(capsys.readouterr().out) == order
 
 
 class TestCalibrate:
@@ -135,6 +144,15 @@ class TestCheck:
         path.write_text(json.dumps({"bogus_field": 1}))
         assert main(["check", str(path)]) == 2
         assert "unknown" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["42", "null", '"x"', "[1, 2]"])
+    def test_non_object_declaration_rejected(self, tmp_path, capsys, text):
+        path = tmp_path / "decl.json"
+        path.write_text(text)
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "JSON object" in err
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestNoise:
@@ -216,11 +234,11 @@ class TestFiguresMetrics:
     def test_emit_metrics_flag(self, tmp_path, capsys):
         metrics = tmp_path / "figures.prom"
         assert main([
-            "figures", "--fig", "1", "--samples", "1000",
+            "figures", "fig1_hpl", "fig7ab_bounds", "--quick",
             "--emit-metrics", str(metrics),
         ]) == 0
         text = metrics.read_text()
-        assert "repro_tasks_completed_total 1" in text
+        assert "repro_tasks_completed_total 2" in text
         assert "# TYPE repro_task_latency_seconds histogram" in text
 
 
